@@ -1,5 +1,7 @@
 package repro.core.union
 
+import scala.collection.mutable
+
 import repro.core._
 import repro.core.join.OlkenSampler
 import repro.core.walk._
@@ -9,9 +11,8 @@ import repro.core.walk._
   *
   * Parameters start from a cheap instantiation (HISTOGRAM-BASED by default;
   * callers may seed them from a RANDOM-WALK warm-up, in which case the
-  * warm-up's walk tuples seed the reuse pools). The main loop selects
-  * joins as Algorithm 1 does (redrawing from the same join until a draw is
-  * accepted by the cover bookkeeping), but:
+  * warm-up's walk tuples seed the reuse pools). The main loop is
+  * Algorithm 1's [[UnionLoop]] over EO draws, plus:
   *
   *  - **Reuse** (lines 7–10): if join j's pool of previously walked tuples
   *    is non-empty, pop a random pooled tuple t and accept it with ratio
@@ -24,164 +25,120 @@ import repro.core.walk._
   *    walks so far, and every tuple already in T is re-accepted with
   *    probability min(1, α'_j/α_j) so the sample follows the refreshed
   *    |J'_j|/|U|. Updates stop once the size estimates reach the target
-  *    confidence level γ.
+  *    confidence level γ = 0.9.
   */
 final class OnlineUnionSampler(joins: Seq[JoinSpec],
                                initParams: UnionParams,
                                warmup: Option[RandomWalkWarmup],
                                seed: Long,
                                phi: Int = 256,
-                               gamma: Double = 0.9,
                                reuse: Boolean = true) {
+  private final val MaxCopies = 16 // most copies one pooled tuple may emit
+  private final val Gamma = 0.9    // confidence level at which backtracking stops
   private val n = joins.size
   private val rng = new java.util.Random(seed)
   private val samplers = joins.map(new OlkenSampler(_)).toIndexedSeq
 
+  private def warmSamples(j: Int) = warmup.fold(IndexedSeq.empty[JTuple])(_.batches(j).samples)
+
   /** Reuse pools: walk tuples with known p(t), drawn without replacement. */
-  private val pools: IndexedSeq[scala.collection.mutable.ArrayBuffer[JTuple]] =
-    IndexedSeq.fill(n)(scala.collection.mutable.ArrayBuffer.empty[JTuple])
+  private val pools: IndexedSeq[mutable.ArrayBuffer[JTuple]] =
+    IndexedSeq.tabulate(n)(j => mutable.ArrayBuffer.from(if (reuse) warmSamples(j) else Nil))
 
   /** Online walk statistics per join (seeded from the warm-up if given). */
-  private val walkStats: IndexedSeq[WalkStats] = IndexedSeq.fill(n)(new WalkStats)
+  private val walkStats: IndexedSeq[WalkStats] =
+    IndexedSeq.tabulate(n)(j => warmup.fold(new WalkStats)(w => WalkStats.of(w.batches(j))))
 
   /** All successful walk tuples per join — the RW overlap estimator input. */
-  private val walked: IndexedSeq[scala.collection.mutable.ArrayBuffer[JTuple]] =
-    IndexedSeq.fill(n)(scala.collection.mutable.ArrayBuffer.empty[JTuple])
-
-  warmup.foreach { w =>
-    (0 until n).foreach { j =>
-      if (reuse) pools(j) ++= w.batches(j).samples
-      walked(j) ++= w.batches(j).samples
-      w.batches(j).samples.foreach(t => walkStats(j).add(1.0 / t.p))
-      (0 until w.batches(j).failures).foreach(_ => walkStats(j).add(0.0))
-    }
-  }
+  private val walked: IndexedSeq[mutable.ArrayBuffer[JTuple]] =
+    IndexedSeq.tabulate(n)(j => mutable.ArrayBuffer.from(warmSamples(j)))
 
   final class OnlineStats extends UnionStats {
     var poolHits: Int = 0         // tuples served from the reuse pool
     var poolRejected: Int = 0
+    var copyCapHits: Int = 0      // pool draws whose R asked for more than MaxCopies copies
     var backtracks: Int = 0
     var backtrackRemoved: Int = 0
-    var poolMs: Long = 0          // time spent serving from the pool
+    var poolNs: Long = 0          // time spent serving from the pool
   }
+
+  private def record(j: Int, t: JTuple): Unit = { walkStats(j).add(1.0 / t.p); walked(j) += t }
 
   def sample(count: Int): UnionSample = {
     var params = initParams
     val stats = new OnlineStats
-    val buffers = samplers.map(new DrawBuffer(_, stats, seed + 1))
-    val target = scala.collection.mutable.ArrayBuffer.empty[(JTuple, Int)]
-    val origJoin = scala.collection.mutable.HashMap.empty[String, Int]
     var recordedP = 0
     var confident = false
-
-    /** Cover bookkeeping; returns true iff the draw was accepted. */
-    def book(t: JTuple, j: Int): Boolean = origJoin.get(t.key) match {
-      case Some(i) if i < j => stats.rejectedDup += 1; false
-      case Some(i) if i > j =>
-        stats.revisions += 1
-        val before = target.size
-        target.filterInPlace(_._1.key != t.key)
-        stats.revisionRemoved += before - target.size
-        origJoin(t.key) = j
-        target += ((t, j)); stats.accepted += 1; true
-      case Some(_) => target += ((t, j)); stats.accepted += 1; true
-      case None =>
-        origJoin(t.key) = j
-        target += ((t, j)); stats.accepted += 1; true
+    // Each refill's walks enter the estimator; its rejected tuples also
+    // refill the pool.
+    val buffers = samplers.indices.map { j =>
+      new DrawBuffer(samplers(j), stats, seed + 1, ds => {
+        ds.rejectedTuples.foreach(record(j, _))
+        (0 until ds.walkFailures).foreach(_ => walkStats(j).add(0.0))
+        recordedP += ds.walkAttempts
+        if (reuse) pools(j) ++= ds.rejectedTuples
+      })
     }
 
-    def chunk(j: Int, alphas: IndexedSeq[Double]): Int = {
-      val want = math.ceil((count - target.size + 1) * alphas(j) * 1.5).toInt
-      if (reuse && pools(j).nonEmpty) {
+    new UnionLoop(count, rng, stats, params.alphas) {
+      protected def draw(j: Int, want: Int): JTuple = {
         // Pools serve most draws; size walk refills by the observed pool
         // fall-through rate so refills stay few *and* amortized.
         val fallRate = (stats.poolRejected + 1.0) / (stats.poolHits + stats.poolRejected + 2.0)
-        math.max(8, math.min(512, math.ceil(want * fallRate).toInt))
-      } else math.max(32, math.min(512, want))
-    }
+        val t = buffers(j).pop(
+          if (reuse && pools(j).nonEmpty) chunk(math.ceil(want * fallRate).toInt, floor = 8) else chunk(want))
+        record(j, t)
+        t
+      }
 
-    while (target.size < count) {
-      val alphas = params.alphas
-      val cum = alphas.scanLeft(0.0)(_ + _).tail
-      val u = rng.nextDouble()
-      val j = cum.indexWhere(u < _) match { case -1 => n - 1; case i => i }
-
-      // -- reuse path (Alg. 2 lines 7–8) ----------------------------------
       // R-rejection retries the pool: the pool is an i.i.d. collection, so
       // rejection sampling over it is exactly uniform over J_j and saves a
       // walk (Alg. 2 as written falls through on the first rejection; the
       // pool retry is equally uniform and avoids Spark round-trips — see
       // DESIGN.md). Cover-rejected pool tuples also redraw from the pool.
       // Only a drained pool falls through to real walks.
-      var served = false
-      while (!served && reuse && pools(j).nonEmpty) {
-        val t0 = System.nanoTime()
-        val idx = rng.nextInt(pools(j).size)
-        val t = pools(j).remove(idx)
-        val r = 1.0 / (t.p * math.max(params.joinSizes(j), 1e-9))
-        var copies = r.toInt + (if (rng.nextDouble() < r - r.toInt) 1 else 0)
-        copies = math.min(copies, 16) // guard against degenerate size underestimates
-        if (copies == 0) stats.poolRejected += 1
-        else {
-          stats.poolHits += 1
-          var anyAccepted = false
-          (0 until copies).foreach(_ => anyAccepted |= book(t, j))
-          served = anyAccepted
-        }
-        stats.poolMs += (System.nanoTime() - t0) / 1000000
-      }
-
-      // -- walk path (Alg. 2 lines 9–10), redraw until cover-accepted -----
-      var redraws = 0
-      while (!served && redraws < 10000) {
-        redraws += 1
-        val before = (stats.walkAttempts, stats.walkFailures, stats.eoRejected)
-        val t = buffers(j).pop(chunk(j, alphas))
-        val newAttempts = stats.walkAttempts - before._1
-        if (newAttempts > 0) { // a refill happened: record its walks
-          buffers(j).lastRejected.foreach { rt =>
-            walkStats(j).add(1.0 / rt.p); walked(j) += rt
+      override protected def fromPool(j: Int): Boolean = {
+        var served = false
+        while (!served && reuse && pools(j).nonEmpty) {
+          val t0 = System.nanoTime()
+          val t = pools(j).remove(rng.nextInt(pools(j).size))
+          val r = 1.0 / (t.p * math.max(params.joinSizes(j), 1e-9))
+          val copies = r.toInt + (if (rng.nextDouble() < r - r.toInt) 1 else 0)
+          // the cap guards against degenerate size underestimates
+          if (copies > MaxCopies) stats.copyCapHits += 1
+          if (copies == 0) stats.poolRejected += 1
+          else {
+            stats.poolHits += 1
+            var anyAccepted = false
+            (0 until math.min(copies, MaxCopies)).foreach(_ => anyAccepted |= book.offer(t, j))
+            served = anyAccepted
           }
-          (0 until (stats.walkFailures - before._2)).foreach(_ => walkStats(j).add(0.0))
-          recordedP += newAttempts
-          if (reuse) pools(j) ++= buffers(j).lastRejected
+          stats.poolNs += System.nanoTime() - t0
         }
-        walkStats(j).add(1.0 / t.p); walked(j) += t
-        val t1 = System.nanoTime()
-        served = book(t, j)
-        stats.bookMs += (System.nanoTime() - t1) / 1000000
+        served
       }
 
-      // -- backtracking with parameter update (Alg. 2 line 18) ------------
-      if (recordedP >= phi && !confident) {
+      override protected def endIteration(): Unit = if (recordedP >= phi && !confident) {
         recordedP = 0
         val newParams = reestimate()
         stats.backtracks += 1
-        val before = target.size
-        target.filterInPlace { case (_, tj) =>
+        stats.backtrackRemoved += book.retain { case (_, tj) =>
           val ratioOld = params.alphas(tj)
           val ratioNew = newParams.alphas(tj)
           val keep = if (ratioOld <= 0) 1.0 else math.min(1.0, ratioNew / ratioOld)
           rng.nextDouble() < keep
         }
-        stats.backtrackRemoved += before - target.size
         params = newParams
-        confident = confidence() >= gamma
+        selector = new JoinSelector(params.alphas)
+        confident = confidence() >= Gamma
       }
-    }
-    UnionSample(target.take(count).toIndexedSeq, stats)
+    }.run()
   }
 
   /** Re-run the RANDOM-WALK parameter estimation over all walks so far. */
   private def reestimate(): UnionParams = {
-    val batches = IndexedSeq.tabulate(n) { j =>
-      WalkBatch(walked(j).toIndexedSeq, walkStats(j).n)
-    }
-    val memberships = (for {
-      j <- 0 until n
-      i <- 0 until n if i != j
-    } yield (j, i) -> WanderJoin.membership(joins(i), batches(j).samples)).toMap
-    WarmUp.paramsFrom(n, (0 until n).map(walkStats(_).mean), batches, memberships)
+    val batches = IndexedSeq.tabulate(n)(j => WalkBatch(walked(j).toIndexedSeq, walkStats(j).n))
+    WarmUp.paramsFrom(joins, walkStats.map(_.mean), batches)
   }
 
   /** Confidence that the size estimates are settled: 1 − relative CI

@@ -4,25 +4,15 @@ import repro.core._
 import repro.core.histogram.HistogramOverlap
 import repro.core.walk._
 
-/** Result of a RANDOM-WALK warm-up: the estimated parameters, the walk
-  * batches (Algorithm 2 reuses their tuples), the per-join online HT
-  * statistics, and the membership tables `memb(j)(i)` = keys of join j's
-  * samples found in join i.
+/** Result of a RANDOM-WALK warm-up: the estimated parameters and the walk
+  * batches (Algorithm 2 reuses their tuples).
   */
-final case class RandomWalkWarmup(params: UnionParams,
-                                  batches: IndexedSeq[WalkBatch],
-                                  stats: IndexedSeq[WalkStats],
-                                  memberships: Map[(Int, Int), Set[String]])
+final case class RandomWalkWarmup(params: UnionParams, batches: IndexedSeq[WalkBatch])
 
 /** The warm-up phase of Algorithm 1 (§4): produce `{|J_j|}, {|O_Δ|}` (and
   * therefore `{|J'_j|}, |U|`) by one of the framework's instantiations.
   */
 object WarmUp {
-
-  /** Ground-truth parameters (for tests and for the FullJoinUnion rows of
-    * the experiments).
-    */
-  def exact(fju: FullJoinUnion): UnionParams = fju.params
 
   /** HISTOGRAM-BASED instantiation (§5): degree statistics only. */
   def histogram(joins: Seq[JoinSpec], refined: Boolean = false): UnionParams =
@@ -52,9 +42,7 @@ object WarmUp {
       var acc = WanderJoin.walkBatch(joins(j), batch, seed + 37 * j)
       var round = 1
       def settled(b: WalkBatch): Boolean = {
-        val s = new WalkStats
-        b.samples.foreach(t => s.add(1.0 / t.p))
-        (0 until b.failures).foreach(_ => s.add(0.0))
+        val s = WalkStats.of(b)
         s.mean > 0 && s.ciHalfWidth(z) <= epsilon * s.mean
       }
       while (!settled(acc) && acc.requested < maxWalks) {
@@ -67,28 +55,20 @@ object WarmUp {
     assemble(joins, batches)
   }
 
-  private def assemble(joins: Seq[JoinSpec], batches: IndexedSeq[WalkBatch]): RandomWalkWarmup = {
+  private def assemble(joins: Seq[JoinSpec], batches: IndexedSeq[WalkBatch]): RandomWalkWarmup =
+    RandomWalkWarmup(paramsFrom(joins, batches.map(WalkStats.of(_).mean), batches), batches)
+
+  /** Assemble UnionParams from walk-based sizes and the membership probes
+    * of each join's samples against every other join (`memberships((j, i))`
+    * = keys of join j's samples found in join i) — shared by the warm-up
+    * and by Algorithm 2's backtracking updates.
+    */
+  def paramsFrom(joins: Seq[JoinSpec], sizes: Seq[Double], batches: IndexedSeq[WalkBatch]): UnionParams = {
     val n = joins.size
-    val stats = IndexedSeq.tabulate(n) { j =>
-      val s = new WalkStats
-      batches(j).samples.foreach(t => s.add(1.0 / t.p))
-      (0 until batches(j).failures).foreach(_ => s.add(0.0))
-      s
-    }
     val memberships = (for {
       j <- 0 until n
       i <- 0 until n if i != j
     } yield (j, i) -> WanderJoin.membership(joins(i), batches(j).samples)).toMap
-
-    RandomWalkWarmup(
-      paramsFrom(n, stats.map(_.mean), batches, memberships), batches, stats, memberships)
-  }
-
-  /** Assemble UnionParams from walk-based sizes + membership tables —
-    * shared by the warm-up and by Algorithm 2's backtracking updates.
-    */
-  def paramsFrom(n: Int, sizes: Seq[Double], batches: IndexedSeq[WalkBatch],
-                 memberships: Map[(Int, Int), Set[String]]): UnionParams = {
     val overlaps = (1 to n).flatMap { k =>
       (0 until n).combinations(k).map { idx =>
         val d = idx.toSet

@@ -54,6 +54,16 @@ final class WalkStats {
     if (n0 == 0) Double.PositiveInfinity else z * math.sqrt(variance / n0)
 }
 
+object WalkStats {
+  /** The statistics of a batch: its successful walks, then its failures. */
+  def of(b: WalkBatch): WalkStats = {
+    val s = new WalkStats
+    b.samples.foreach(t => s.add(1.0 / t.p))
+    (0 until b.failures).foreach(_ => s.add(0.0))
+    s
+  }
+}
+
 /** Vectorized wander join (§6.1): a batch of W random walks over the join
   * data graph is one DataFrame; every walk step joins the frontier with
   * the next relation and picks one joinable tuple uniformly per walk via a

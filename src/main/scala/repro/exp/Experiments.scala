@@ -209,7 +209,7 @@ object Experiments {
     val rn = sn.sample(n)
     val stn = rn.stats
     PhaseRow(name,
-      (stn.drawMs + stn.bookMs).toDouble / math.max(1, stn.accepted),
-      str.poolMs.toDouble / math.max(1, str.poolHits))
+      (stn.drawNs + stn.bookNs) / 1e6 / math.max(1, stn.accepted),
+      str.poolNs / 1e6 / math.max(1, str.poolHits))
   }
 }

@@ -42,7 +42,7 @@ class OnlineUnionSamplerSpec extends SparkSpec {
 
   test("backtracking updates parameters and prunes the sample") {
     val init = WarmUp.histogram(toy.joins) // biased upward on purpose
-    val s = new OnlineUnionSampler(toy.joins, init, None, seed = 5, phi = 64, gamma = 0.99)
+    val s = new OnlineUnionSampler(toy.joins, init, None, seed = 5, phi = 64)
     val res = s.sample(400)
     val st = res.stats.asInstanceOf[s.OnlineStats]
     assert(st.backtracks > 0, "expected at least one backtracking round")
@@ -82,5 +82,6 @@ class OnlineUnionSamplerSpec extends SparkSpec {
     val res = s.sample(200)
     val st = res.stats.asInstanceOf[s.OnlineStats]
     assert(st.poolHits + st.poolRejected > 0)
+    assert(st.copyCapHits == 0 && st.redrawCapHits == 0)
   }
 }

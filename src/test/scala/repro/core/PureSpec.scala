@@ -4,10 +4,11 @@ import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropHelpers
 import repro.core.histogram.HistogramOverlap
+import repro.core.union.{CoverBook, UnionStats}
 import repro.core.walk.{JTuple, WalkBatch, WalkStats}
 
-/** Spark-free properties: JTuple identity, WalkBatch estimators,
-  * UnionParams algebra, monotonize.
+/** Spark-free properties: JTuple identity, WalkBatch estimators, cover
+  * bookkeeping, UnionParams algebra, monotonize.
   */
 class PureSpec extends AnyFunSuite with PropHelpers {
 
@@ -35,10 +36,27 @@ class PureSpec extends AnyFunSuite with PropHelpers {
   test("WalkStats matches WalkBatch on the same data") {
     val ts = IndexedSeq(0.25, 0.5, 0.125).map(p => JTuple(IndexedSeq(1L), p))
     val wb = WalkBatch(ts, 5)
-    val s = new WalkStats
-    ts.foreach(t => s.add(1.0 / t.p))
-    (0 until 2).foreach(_ => s.add(0.0))
+    val s = WalkStats.of(wb)
+    assert(s.n == 5)
     assert(math.abs(s.mean - wb.sizeEstimate) < 1e-12)
+  }
+
+  test("CoverBook: accept, reject from a later join, revise from an earlier one") {
+    val stats = new UnionStats
+    val book = new CoverBook(stats)
+    val a = JTuple(IndexedSeq(1L), 0.1)
+    val b = JTuple(IndexedSeq(2L), 0.1)
+    assert(book.offer(a, 1), "first sighting is accepted")
+    assert(book.offer(b, 0))
+    assert(!book.offer(b, 1), "a duplicate from a later join is rejected")
+    assert(stats.rejectedDup == 1)
+    assert(book.offer(a, 1), "a duplicate from the owning join is accepted")
+    assert(book.size == 3)
+    assert(book.offer(a, 0), "a duplicate from an earlier join revises")
+    assert(stats.revisions == 1 && stats.revisionRemoved == 2)
+    assert(book.take(10) == IndexedSeq((b, 0), (a, 0)))
+    assert(!book.offer(a, 1), "after revision the earlier join owns the value")
+    assert(stats.accepted == 4 && stats.rejectedDup == 2)
   }
 
   private val paramGen: Gen[UnionParams] = for {

@@ -36,6 +36,7 @@ class UnionSamplerSpec extends SparkSpec {
     val chi = chiSquare(counts, 16, n)
     // df = 15; χ²_{0.999,15} ≈ 37.7
     assert(chi < 42.0, s"chi-square $chi over $counts")
+    assert(res.stats.redrawCapHits == 0)
   }
 
   test("uniform across three overlapping joins with exact parameters") {
@@ -45,6 +46,7 @@ class UnionSamplerSpec extends SparkSpec {
     val counts = res.tuples.groupBy(_._1.key).map { case (k, v) => k -> v.size }
     val chi = chiSquare(counts, 24, n)
     assert(chi < 55.0, s"chi-square $chi") // df = 23; χ²_{0.999,23} ≈ 49.7
+    assert(res.stats.redrawCapHits == 0)
   }
 
   test("overlap tuples are owned by the earliest cover join") {
@@ -68,6 +70,7 @@ class UnionSamplerSpec extends SparkSpec {
     val chi = chiSquare(counts, 16, n)
     assert(chi < 42.0, s"chi-square $chi")
     assert(res.stats.walkAttempts > 0 && res.stats.eoRejected >= 0)
+    assert(res.stats.redrawCapHits == 0)
   }
 
   test("histogram-estimated parameters still yield only union tuples") {

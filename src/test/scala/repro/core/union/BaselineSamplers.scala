@@ -1,5 +1,7 @@
 package repro.core.union
 
+import scala.collection.mutable
+
 import repro.core._
 import repro.core.join.JoinTupleSampler
 import repro.core.walk.JTuple
@@ -17,7 +19,9 @@ import repro.core.walk.JTuple
   * As in the paper's description, ownership is fixed at first
   * observation; the very first draw of each overlap value is accepted
   * from whichever join raced it, a one-off transient of at most one
-  * sample per overlap value (vanishing in frequency as N grows).
+  * sample per overlap value (vanishing in frequency as N grows). Joins are
+  * selected by independent coins, not from one distribution, so this
+  * sampler has no use for a [[JoinSelector]].
   */
 final class BernoulliUnionSampler(joins: Seq[JoinSpec], params: UnionParams,
                                   samplers: IndexedSeq[JoinTupleSampler], seed: Long) {
@@ -27,8 +31,8 @@ final class BernoulliUnionSampler(joins: Seq[JoinSpec], params: UnionParams,
     val rng = new java.util.Random(seed)
     val stats = new UnionStats
     val buffers = samplers.map(new DrawBuffer(_, stats, seed))
-    val target = scala.collection.mutable.ArrayBuffer.empty[(JTuple, Int)]
-    val owner = scala.collection.mutable.HashMap.empty[String, Int]
+    val target = mutable.ArrayBuffer.empty[(JTuple, Int)]
+    val owner = mutable.HashMap.empty[String, Int]
     val probs = params.joinSizes.map(s => math.min(1.0, s / math.max(params.unionSize, 1e-9)))
 
     while (target.size < count) {
@@ -41,11 +45,30 @@ final class BernoulliUnionSampler(joins: Seq[JoinSpec], params: UnionParams,
             case o if o == j => target += ((t, j)); stats.accepted += 1
             case _           => stats.rejectedDup += 1
           }
-          stats.bookMs += (System.nanoTime() - t1) / 1000000
+          stats.bookNs += System.nanoTime() - t1
         }
         j += 1
       }
     }
     UnionSample(target.take(count).toIndexedSeq, stats)
+  }
+}
+
+/** Sampling from the *disjoint* union (Def. 1) is the straightforward
+  * two-step sampler: pick join j with probability |J_j|/Σ|J_i|, then an
+  * i.i.d. tuple of J_j — no cover, no rejections.
+  */
+final class DisjointUnionSampler(joins: Seq[JoinSpec], params: UnionParams,
+                                 samplers: IndexedSeq[JoinTupleSampler], seed: Long) {
+  def sample(count: Int): IndexedSeq[(JTuple, Int)] = {
+    val rng = new java.util.Random(seed)
+    val tot = params.joinSizes.sum
+    val selector = new JoinSelector(params.joinSizes.map(_ / tot))
+    val quota = Array.fill(params.n)(0)
+    (0 until count).foreach(_ => quota(selector.pick(rng.nextDouble())) += 1)
+    val draws = (0 until params.n).flatMap { j =>
+      samplers(j).sample(quota(j), seed + j)._1.map((_, j))
+    }
+    new scala.util.Random(rng).shuffle(draws).toIndexedSeq
   }
 }
