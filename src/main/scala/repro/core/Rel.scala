@@ -8,7 +8,7 @@ import org.apache.spark.sql.functions._
   *
   * Wraps a DataFrame with a name and caches derived artifacts the samplers
   * need repeatedly: the row count and an `indexed` view carrying a dense
-  * 0-based row id (`__rid`) used for uniform / weighted root-tuple sampling.
+  * 0-based row id (`__rid`) used for uniform root-tuple sampling.
   *
   * Relations are assumed duplicate-free (the paper assumes joins have no
   * duplicate result tuples; our generators guarantee distinct rows).

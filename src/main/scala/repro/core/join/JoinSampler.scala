@@ -1,9 +1,8 @@
 package repro.core.join
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{LongType, StructField, StructType}
+import scala.collection.mutable
+
+import org.apache.spark.sql.Row
 import repro.core._
 import repro.core.stats.DegreeStats
 import repro.core.walk.{JTuple, WalkBatch, WanderJoin}
@@ -37,136 +36,173 @@ trait JoinTupleSampler {
 
 /** EW — exact weights (Zhao et al.'s ground-truth instantiation).
   *
-  * Bottom-up DP over the join tree computes, per tuple, the exact number
-  * of join results it roots (`__w`): a leaf weighs 1; an inner tuple
-  * weighs the product over child edges of the sum of joinable child
-  * weights. All DP steps are DataFrame aggregations + joins. The total
-  * root weight equals |J| exactly, and top-down weighted sampling draws
-  * uniform join tuples with zero rejection.
+  * The constructor collects every relation of the join tree into the
+  * driver once and runs the bottom-up weight DP there: a leaf row weighs
+  * 1; an inner row weighs the product, over its child edges, of the
+  * summed weights of the child rows that share its key on the edge
+  * attributes (0 if there are none). A null in an edge attribute never
+  * matches, as in a SQL join. The root weights sum to |J| exactly.
+  *
+  * Each node keeps only its rows with weight > 0, grouped by the key of
+  * the edge to its parent (key → row range, with the cumulative weights
+  * of that range). A draw picks a root row by its weight and then, per
+  * edge in pre-order, a row of the child's group keyed by the chosen
+  * parent row: uniform join tuples, zero rejection, and no Spark job once
+  * the sampler is built.
+  *
+  * Collecting is size-guarded ([[ExactWeightSampler.checkFits]]): a join
+  * whose relations would not fit a quarter of the driver heap is refused;
+  * use [[OlkenSampler]] (EO) for it.
   */
 final class ExactWeightSampler(val join: JoinSpec) extends JoinTupleSampler {
   import ExactWeightSampler._
 
-  join.root.edgesPreOrder.foreach { e =>
-    require(e.attrs.forall(parentOf(join.root, e).rel.cols.contains),
-      s"EW needs every edge attr in the direct parent (join ${join.name}); " +
-        "trees derived from cyclic joins must use the EO/walk sampler")
+  /** The tree's nodes in pre-order, the order the edges are drawn in. */
+  private val shape: IndexedSeq[Node] = {
+    val out = mutable.ArrayBuffer.empty[Node]
+    def visit(t: JoinTree, parent: Int, parentCols: Seq[String], attrs: Seq[String]): Unit = {
+      val parentKey = attrs.map(parentCols.indexOf(_)).toArray
+      require(!parentKey.contains(-1),
+        s"EW needs every edge attr in the direct parent (join ${join.name}); " +
+          "trees derived from cyclic joins must use the EO/walk sampler")
+      val me = out.size
+      out += Node(t, parent, parentKey, attrs.map(t.rel.cols.indexOf(_)).toArray)
+      t.children.foreach(e => visit(e.child, me, t.rel.cols, e.attrs))
+    }
+    visit(join.root, -1, Nil, Nil)
+    out.toIndexedSeq
   }
 
-  private val wroot: WNode = weigh(join.root)
+  checkFits(join.name, join.relations.map(r => (r.name, r.count, r.cols.size)),
+    Runtime.getRuntime.maxMemory)
+
+  /** Weighed rows of each node, aligned with `shape`. Reverse pre-order
+    * weighs every child before its parent.
+    */
+  private val groups: IndexedSeq[Groups] = {
+    val done = new Array[Groups](shape.size)
+    shape.indices.reverse.foreach { i =>
+      val kids = shape.indices.filter(shape(_).parent == i).map(c => (shape(c).parentKey, done(c)))
+      val rows = shape(i).tree.rel.df.collect()
+      val w = rows.map(r =>
+        kids.foldLeft(1.0) { case (acc, (key, kid)) => acc * kid.weightOf(keyOf(r, key)) })
+      done(i) = Groups(rows, w, shape(i).ownKey)
+    }
+    done.toIndexedSeq
+  }
+
+  /** Where each canonical output column is read: (node, column). */
+  private val canon: IndexedSeq[(Int, Int)] =
+    WanderJoin.canonCols(join).toIndexedSeq.map { c =>
+      val i = shape.indexWhere(_.tree.rel.cols.contains(c))
+      (i, shape(i).tree.rel.cols.indexOf(c))
+    }
 
   /** Σ root weights — exactly |J|. */
-  lazy val totalWeight: Double = {
-    val r = wroot.wdf.agg(sum("__w")).head
-    if (r.isNullAt(0)) 0.0 else r.getDouble(0)
-  }
+  val totalWeight: Double = groups(0).weightOf(Some(Nil))
 
   /** p(t) of every returned tuple: uniform 1/|J|. */
   def tupleProbability: Double = if (totalWeight == 0) 0.0 else 1.0 / totalWeight
 
-  /** Root ids and cumulative weights, collected once (ids + weights only —
-    * never the relation payload).
-    */
-  private lazy val rootCdf: (Array[Long], Array[Double]) = {
-    val rows = wroot.wdf.filter(col("__w") > 0).select("__rid", "__w")
-      .orderBy("__rid").collect()
-    val ids = rows.map(_.getLong(0))
-    val cum = new Array[Double](rows.length)
-    var acc = 0.0
-    var i = 0
-    while (i < rows.length) { acc += rows(i).getDouble(1); cum(i) = acc; i += 1 }
-    (ids, cum)
-  }
-
-  def prepare(): Unit = { totalWeight; if (totalWeight > 0) rootCdf; () }
+  /** The DP runs in the constructor; nothing is left to prepare. */
+  def prepare(): Unit = ()
 
   def sample(n: Int, seed: Long): (IndexedSeq[JTuple], DrawStats) = {
     if (n == 0 || totalWeight == 0) return (IndexedSeq.empty, DrawStats(0, 0, 0))
-    val got = scala.collection.mutable.ArrayBuffer.empty[JTuple]
-    var attempt = 0
-    // The windowed weighted pick can (with ~1e-12 probability) lose a walk
-    // to floating-point edge effects; top up until n are drawn.
-    while (got.size < n && attempt < 8) {
-      got ++= sampleOnce(n - got.size, seed + 7919L * attempt)
-      attempt += 1
-    }
-    require(got.size == n, s"EW sampler lost walks persistently (${got.size}/$n)")
-    (got.toIndexedSeq, DrawStats(n, 0, 0))
-  }
-
-  private def sampleOnce(n: Int, seed: Long): IndexedSeq[JTuple] = {
-    val spark = join.root.rel.df.sparkSession
-    val (ids, cum) = rootCdf
     val rng = new java.util.Random(seed)
-    val total = cum.last
-    val chosen = Array.fill(n) {
-      val u = rng.nextDouble() * total
-      var lo = 0; var hi = cum.length - 1
-      while (lo < hi) { val mid = (lo + hi) / 2; if (cum(mid) > u) hi = mid else lo = mid + 1 }
-      ids(lo)
-    }
-    val rows: java.util.List[Row] = new java.util.ArrayList[Row]()
-    chosen.zipWithIndex.foreach { case (rid, w) => rows.add(Row(w.toLong, rid)) }
-    val schema = StructType(Seq(StructField("__wid", LongType), StructField("__rid", LongType)))
-    var frontier = spark.createDataFrame(rows, schema)
-      .join(wroot.wdf, "__rid").drop("__rid", "__w")
-    val edges = wroot.allEdges
-    edges.zipWithIndex.foreach { case (_, k) =>
-      frontier = frontier.withColumn(s"__u$k", rand(seed + 31 * k) * (1 - 1e-12))
-    }
-    frontier = frontier.cache()
-    frontier.count()
-
-    edges.zipWithIndex.foreach { case ((edge, child), k) =>
-      val cw = child.wdf.filter(col("__w") > 0).withColumnRenamed("__rid", "__crid")
-      val joined = frontier.join(cw, edge.attrs)
-      val wsp = Window.partitionBy("__wid")
-      val cum = sum("__w").over(wsp.orderBy("__crid")
-        .rowsBetween(Window.unboundedPreceding, Window.currentRow))
-      val tot = sum("__w").over(wsp)
-      frontier = joined
-        .withColumn("__cum", cum)
-        .withColumn("__tgt", col(s"__u$k") * tot)
-        .filter(col("__cum") > col("__tgt"))
-        .withColumn("__rn", row_number().over(wsp.orderBy("__crid")))
-        .filter(col("__rn") === 1)
-        .drop("__cum", "__tgt", "__rn", "__w", "__crid")
-    }
-    val cols = WanderJoin.canonCols(join)
-    val out = frontier.select(cols.map(col): _*).collect()
     val p = tupleProbability
-    out.iterator.map(r => JTuple(IndexedSeq.range(0, cols.size).map(r.get), p)).toIndexedSeq
-  }
-
-  private def weigh(t: JoinTree): WNode = {
-    val kids = t.children.map(e => (e, weigh(e.child)))
-    var df = t.rel.indexed
-    kids.zipWithIndex.foreach { case ((e, kid), i) =>
-      val agg = kid.wdf.groupBy(e.attrs.map(col): _*).agg(sum("__w").as(s"__s$i"))
-      df = df.join(agg, e.attrs, "left")
-        .withColumn(s"__s$i", coalesce(col(s"__s$i"), lit(0.0)))
+    val picked = new Array[Row](shape.size)
+    val out = IndexedSeq.fill(n) {
+      picked(0) = groups(0).pick(Nil, rng)
+      var i = 1
+      while (i < shape.size) {
+        val node = shape(i)
+        // the parent row weighs > 0, so its group in every child exists
+        picked(i) = groups(i).pick(keyOf(picked(node.parent), node.parentKey).get, rng)
+        i += 1
+      }
+      JTuple(canon.map { case (node, c) => picked(node).get(c) }, p)
     }
-    val w =
-      if (kids.isEmpty) lit(1.0)
-      else kids.indices.map(i => col(s"__s$i")).reduceLeft(_ * _)
-    val wdf = df.withColumn("__w", w).drop(kids.indices.map(i => s"__s$i"): _*).cache()
-    wdf.count()
-    WNode(wdf, kids)
+    (out, DrawStats(n, 0, 0))
   }
 }
 
 object ExactWeightSampler {
-  private[join] final case class WNode(wdf: DataFrame, children: Seq[(JoinEdge, WNode)]) {
-    /** (edge, child WNode) in the same pre-order the walks use. */
-    def allEdges: Seq[(JoinEdge, WNode)] =
-      children.flatMap { case (e, c) => (e, c) +: c.allEdges }
+
+  /** Driver bytes one collected value is taken to need: the boxed value,
+    * its slot in the `Row`, and the row and group arrays spread over it.
+    */
+  val BytesPerValue: Long = 64L
+
+  /** Size guard for collecting a join: refuse if its relations, given as
+    * (name, rows, columns), would take more than a quarter of `maxMemory`
+    * at [[BytesPerValue]] a value. The message names the largest relation.
+    */
+  def checkFits(joinName: String, rels: Seq[(String, Long, Int)], maxMemory: Long): Unit = {
+    val values = rels.map { case (_, rows, cols) => rows * cols }.sum
+    val budget = maxMemory / 4 / BytesPerValue
+    require(values <= budget, {
+      val (name, rows, _) = rels.maxBy { case (_, r, c) => r * c }
+      s"EW collects join $joinName into the driver: $values values, over its budget of " +
+        s"$budget (a quarter of the ${maxMemory >> 20} MB heap); the largest relation, " +
+        s"$name, has $rows rows. Use EO (OlkenSampler) for this join"
+    })
   }
 
-  private def parentOf(root: JoinTree, edge: JoinEdge): JoinTree = {
-    def find(t: JoinTree): Option[JoinTree] =
-      if (t.children.exists(_ eq edge)) Some(t)
-      else t.children.view.flatMap(e => find(e.child)).headOption
-    find(root).get
+  /** A node of the join tree: its parent's index in pre-order (-1 at the
+    * root) and the key columns of the edge from the parent, in the
+    * parent's rows and in its own. The root's key is empty.
+    */
+  private final case class Node(tree: JoinTree, parent: Int, parentKey: Array[Int],
+                                ownKey: Array[Int])
+
+  /** A row's key on `cols`, or None if any of them is null. */
+  private def keyOf(r: Row, cols: Array[Int]): Option[Seq[Any]] =
+    if (cols.exists(r.isNullAt)) None else Some(cols.toSeq.map(r.get))
+
+  /** The rows of one node with weight > 0, grouped by their key on the
+    * edge to the parent: group g is `rows(start(g) until start(g + 1))`,
+    * `cum` holds the running weight within each group.
+    */
+  private final class Groups(rows: Array[Row], cum: Array[Double], start: Array[Int],
+                             index: Map[Seq[Any], Int]) {
+
+    /** Summed weight of the rows with this key (0 if there are none). */
+    def weightOf(key: Option[Seq[Any]]): Double =
+      key.flatMap(index.get).fold(0.0)(g => cum(start(g + 1) - 1))
+
+    /** A row of the group keyed `key`, drawn with probability ∝ weight. */
+    def pick(key: Seq[Any], rng: java.util.Random): Row = {
+      val g = index(key)
+      var lo = start(g)
+      var hi = start(g + 1) - 1
+      val u = rng.nextDouble() * cum(hi)
+      // first row whose running weight exceeds u; the last one if rounding
+      // puts u at the group total
+      while (lo < hi) { val mid = (lo + hi) >>> 1; if (cum(mid) > u) hi = mid else lo = mid + 1 }
+      rows(lo)
+    }
+  }
+
+  private object Groups {
+    def apply(rows: Array[Row], w: Array[Double], keyCols: Array[Int]): Groups = {
+      val byKey = mutable.LinkedHashMap.empty[Seq[Any], mutable.ArrayBuffer[Int]]
+      rows.indices.foreach { i =>
+        if (w(i) > 0) keyOf(rows(i), keyCols).foreach(k =>
+          byKey.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += i)
+      }
+      val order = byKey.valuesIterator.flatten.toArray
+      val cum = new Array[Double](order.length)
+      val start = new Array[Int](byKey.size + 1)
+      var at = 0
+      byKey.valuesIterator.zipWithIndex.foreach { case (members, g) =>
+        start(g) = at
+        var acc = 0.0
+        members.foreach { i => acc += w(i); cum(at) = acc; at += 1 }
+      }
+      start(byKey.size) = at
+      new Groups(order.map(rows), cum, start, byKey.keysIterator.zipWithIndex.toMap)
+    }
   }
 }
 
@@ -196,7 +232,7 @@ final class OlkenSampler(val join: JoinSpec,
   def sample(n: Int, seed: Long): (IndexedSeq[JTuple], DrawStats) = {
     if (n == 0) return (IndexedSeq.empty, DrawStats(0, 0, 0))
     val rng = new java.util.Random(seed)
-    val got = scala.collection.mutable.ArrayBuffer.empty[JTuple]
+    val got = mutable.ArrayBuffer.empty[JTuple]
     var stats = DrawStats(0, 0, 0)
     var round = 0
     var rateEst = 0.2 // updated from observed acceptance
@@ -205,7 +241,7 @@ final class OlkenSampler(val join: JoinSpec,
       val want = n - got.size
       val batch = math.min(65536, math.max(64, math.ceil(want / math.max(rateEst, 1e-4)).toInt))
       val wb = WanderJoin.walkBatch(join, batch, seed + 104729L * round + rng.nextInt(1 << 20))
-      val rejected = scala.collection.mutable.ArrayBuffer.empty[JTuple]
+      val rejected = mutable.ArrayBuffer.empty[JTuple]
       var predDropped = 0
       wb.samples.foreach { t =>
         val pAcc = 1.0 / (t.p * bound)

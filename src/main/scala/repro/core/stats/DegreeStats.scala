@@ -1,19 +1,27 @@
 package repro.core.stats
 
+import java.util.concurrent.ConcurrentHashMap
+
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Degree statistics of join attributes (§5) — the "histograms" a DBMS
   * would keep for cardinality estimation. All computed as DataFrame
-  * aggregations; results are cached per (plan, attribute) because the
+  * aggregations; results are cached per (DataFrame, attribute) because the
   * overlap estimator revisits the same statistic for every subset Δ.
   */
 object DegreeStats {
 
-  private val cache = new java.util.concurrent.ConcurrentHashMap[(Int, String, String), Any]()
+  /** DataFrame (by identity; a `Dataset` does not override `equals`) →
+    * (attribute, kind) → statistic. The keys are weak, so a DataFrame's
+    * statistics go when it does.
+    */
+  private val cache = java.util.Collections.synchronizedMap(
+    new java.util.WeakHashMap[DataFrame, ConcurrentHashMap[(String, String), Any]]())
 
   private def memo[T](df: DataFrame, attr: String, kind: String)(body: => T): T =
-    cache.computeIfAbsent((System.identityHashCode(df), attr, kind), _ => body).asInstanceOf[T]
+    cache.computeIfAbsent(df, _ => new ConcurrentHashMap[(String, String), Any]())
+      .computeIfAbsent((attr, kind), _ => body).asInstanceOf[T]
 
   /** Value → frequency histogram of `attr` in `df` (columns: attr, "deg"). */
   def histogram(df: DataFrame, attr: String): DataFrame =

@@ -45,6 +45,13 @@ class HistogramSpec extends SparkSpec {
     assert(DegreeStats.maxDegreeMulti(r.df, Seq("a")) == DegreeStats.maxDegree(r.df, "a"))
   }
 
+  test("degree stats are cached per DataFrame, not per shape") {
+    val sp = spark
+    import sp.implicits._
+    val maxes = (1 to 8).map(d => DegreeStats.maxDegree(Seq.fill(d)(1L).toDF("k"), "k"))
+    assert(maxes == (1 to 8).map(_.toLong))
+  }
+
   test("ChainForm.aligned detects the §5.1 base case") {
     assert(ChainForm.aligned(toy.joins))
     assert(ChainForm.aligned(uq1.joins))

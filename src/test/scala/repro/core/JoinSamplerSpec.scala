@@ -75,6 +75,62 @@ class JoinSamplerSpec extends SparkSpec {
     assert(ts.forall(_.values(kIdx).asInstanceOf[Long] <= 12))
   }
 
+  test("EW is uniform over a UQ1 chain whose inner relations dangle (chi-square)") {
+    val j = uq1.joins.head // nation ⋈ supplier ⋈ customer ⋈ orders ⋈ lineitem
+    val Seq(_, _, customer, orders, lineitem) = j.relations
+    // customers without orders and orders without lineitems: a wrong group
+    // key hands their weight to rows of another key
+    assert(customer.df.join(orders.df, Seq("custkey"), "left_anti").count() > 0)
+    assert(orders.df.join(lineitem.df, Seq("orderkey"), "left_anti").count() > 0)
+    val fju = new FullJoinUnion(Seq(j))
+    val size = fju.sizes.head.toInt
+    val n = 10 * size
+    val (ts, _) = new ExactWeightSampler(j).sample(n, seed = 10)
+    assert(ts.forall(t => fju.unionKeys.contains(t.key)))
+    val counts = ts.groupBy(_.key).map { case (k, v) => k -> v.size }
+    val chi = chiSquare(counts, size, n)
+    val dfree = size - 1
+    assert(chi < dfree + 5 * math.sqrt(2.0 * dfree), s"chi-square $chi, support $size")
+  }
+
+  test("EW: a null join value never matches") {
+    val sp = spark
+    import sp.implicits._
+    // nulls in a root key, in a child's own key, and in a key towards a child
+    val a = Rel("null_a", Seq((Some(1L), "a1"), (Some(2L), "a2"), (None, "a3")).toDF("k", "atag"))
+    val b = Rel("null_b", Seq((Some(1L), Some(5L)), (Some(1L), None), (None, Some(5L)),
+      (Some(2L), Some(6L))).toDF("k", "m"))
+    val c = Rel("null_c", Seq((Some(5L), "c5"), (None, "cn"), (Some(6L), "c6a"),
+      (Some(6L), "c6b")).toDF("m", "ctag"))
+    val j = ChainJoin("null_J", Seq(a, b, c), Seq("k", "m"))
+    val s = new ExactWeightSampler(j)
+    assert(s.totalWeight == j.fullJoin.count().toDouble)
+    assert(s.totalWeight == 3.0)
+    val keys = new FullJoinUnion(Seq(j)).unionKeys
+    val cols = WanderJoin.canonCols(j)
+    val (ts, _) = s.sample(300, seed = 11)
+    assert(ts.forall(t => keys.contains(t.key)))
+    assert(ts.forall(t => Seq("k", "m").forall(c => t.values(cols.indexOf(c)) != null)))
+  }
+
+  test("EW draws are a function of the seed") {
+    val j = uq1.joins.head
+    val s = new ExactWeightSampler(j)
+    def keys(seed: Long) = s.sample(200, seed)._1.map(_.key)
+    assert(keys(12) == keys(12))
+    assert(keys(12) != keys(13))
+    assert(new ExactWeightSampler(j).sample(200, 12)._1.map(_.key) == keys(12))
+  }
+
+  test("EW sampling starts no Spark job once the sampler is built") {
+    val j = uq1.joins.head
+    val (s, built) = jobsDuring(new ExactWeightSampler(j))
+    assert(built >= j.relations.size, "each relation is collected once")
+    val ((ts, _), drawn) = jobsDuring(s.sample(1000, seed = 14))
+    assert(ts.size == 1000)
+    assert(drawn == 0)
+  }
+
   test("EW rejects trees derived from cyclic joins") {
     val tri = ToyData.toyTriangle(spark)
     assertThrows[IllegalArgumentException](new ExactWeightSampler(tri))

@@ -41,6 +41,16 @@ class PureSpec extends AnyFunSuite with PropHelpers {
     assert(math.abs(s.mean - wb.sizeEstimate) < 1e-12)
   }
 
+  test("EW size guard: rows × columns against a quarter of the heap") {
+    import repro.core.join.ExactWeightSampler.{BytesPerValue, checkFits}
+    val heap = 4 * BytesPerValue * 1000 // a budget of 1000 values
+    checkFits("J", Seq(("r", 100L, 4), ("s", 300L, 2)), heap)
+    val e = intercept[IllegalArgumentException](
+      checkFits("J", Seq(("r", 100L, 4), ("s", 301L, 2)), heap))
+    assert(e.getMessage.contains("s, has 301 rows"), e.getMessage)
+    assert(e.getMessage.contains("Use EO"), e.getMessage)
+  }
+
   test("CoverBook: accept, reject from a later join, revise from an earlier one") {
     val stats = new UnionStats
     val book = new CoverBook(stats)
